@@ -328,7 +328,9 @@ void run_wire_knob_part(bool smoke) {
               "into one writev per window instead of one write per "
               "frame); window alone at depth 1 mostly adds latency, "
               "depth alone helps, together they compound; the adaptive "
-              "window tracks the fixed one under sustained load.\n");
+              "(step-end) flush beats the fixed window under sustained "
+              "load: it coalesces whatever one reactor step queued without "
+              "holding frames for a timer.\n");
 }
 
 // --------------------------------------------- E12d: connection fan-in --

@@ -2,6 +2,7 @@
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/socket.h>
 #include <sys/timerfd.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -161,8 +162,6 @@ void node::bind_node_metrics() {
                                       lbl + ",reason=\"step_end\"");
   wm_.flushes_bytes = &reg.get_counter("fastreg_net_flushes_total",
                                        lbl + ",reason=\"bytes\"");
-  wm_.window_widen =
-      &reg.get_counter("fastreg_net_window_widen_total", lbl);
   wm_.conn_resets = &reg.get_counter("fastreg_net_conn_resets_total", lbl);
   wm_.connections = &reg.get_gauge("fastreg_net_connections", lbl);
   wm_.backlog_bytes = &reg.get_gauge("fastreg_net_backlog_bytes", lbl);
@@ -184,10 +183,7 @@ void node::bind_node_metrics() {
 
 std::size_t node::add_actor(std::unique_ptr<automaton> a) {
   FASTREG_EXPECTS(a != nullptr);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    FASTREG_EXPECTS(!started_);
-  }
+  FASTREG_EXPECTS(!started_.load(std::memory_order_acquire));
   auto st = std::make_unique<actor_state>();
   st->automaton_ = std::move(a);
   st->self = st->automaton_->self();
@@ -239,12 +235,15 @@ std::uint16_t node::listen_port() const {
 void node::start() {
   FASTREG_EXPECTS(!actors_.empty());
   FASTREG_EXPECTS(!reactors_[0]->thread.joinable());
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    started_ = true;
-    stop_requested_ = false;
-    for (auto& r : reactors_) r->exited = false;
+  for (auto& r : reactors_) {
+    // A post that raced the previous exit must not fire now: its
+    // captures may be long dead.
+    std::lock_guard<std::mutex> lk(r->q_mu);
+    r->tasks.clear();
+    r->exited.store(false, std::memory_order_release);
   }
+  stop_requested_.store(false, std::memory_order_release);
+  started_.store(true, std::memory_order_release);
   for (auto& r : reactors_) {
     r->thread = std::thread([this, rp = r.get()] { reactor_main(*rp); });
   }
@@ -252,10 +251,7 @@ void node::start() {
 
 void node::stop() {
   if (reactors_.empty() || !reactors_[0]->thread.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_requested_ = true;
-  }
+  stop_requested_.store(true, std::memory_order_release);
   for (auto& r : reactors_) wake(*r);
   for (auto& r : reactors_) {
     if (r->thread.joinable()) r->thread.join();
@@ -291,6 +287,38 @@ void node::post_to(reactor& r, std::function<void()> fn) {
 
 // ----------------------------------------------------------- client calls --
 
+void node::invoke(std::size_t actor,
+                  const std::function<void(automaton&, netout&)>& fn) {
+  invoke(actor_at(actor), fn);
+}
+
+void node::invoke(actor_state& a,
+                  const std::function<void(automaton&, netout&)>& fn) {
+  bool wake_waiters;
+  {
+    std::lock_guard<std::mutex> step(a.step_mu);
+    fn(*a.automaton_, a.port);
+    post_staged(a);
+    wake_waiters = sync_mirror(a);
+  }
+  if (wake_waiters) a.cv.notify_all();
+}
+
+void node::post_staged(actor_state& a) {
+  if (a.staged.empty()) return;
+  reactor& home = home_of(a);
+  auto sends = std::make_shared<std::vector<staged_send>>(std::move(a.staged));
+  a.staged.clear();
+  // Not running: nothing will ever drain the queue, so the sends are
+  // dropped like any message to a crashed node. Posting under step_mu
+  // keeps the actor's successive steps in order on the reactor.
+  if (!running(home)) return;
+  post_to(home, [this, &a, sends] {
+    std::lock_guard<std::mutex> step(a.step_mu);
+    for (auto& st : *sends) route_from(a, st.to, std::move(st.msgs), st.batch);
+  });
+}
+
 std::optional<read_result> node::blocking_read(
     std::chrono::milliseconds timeout) {
   return blocking_read(0, timeout);
@@ -300,30 +328,26 @@ std::optional<read_result> node::blocking_read(
     std::size_t actor, std::chrono::milliseconds timeout) {
   actor_state& a = actor_at(actor);
   FASTREG_EXPECTS(a.reader != nullptr);
-  std::uint64_t before;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    before = a.reads_done;
-  }
-  post_to(home_of(a), [this, &a] {
+  std::uint64_t before = 0;
+  invoke(a, [this, &a, &before](automaton&, netout& net) {
     {
-      std::lock_guard<std::mutex> step(a.step_mu);
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        a.open_op_index = a.hist.begin_op(a.self, false, now_ns());
-        a.op_open = true;
-      }
-      // Register automata never stamp their messages; the ambient trace
-      // context tags everything this invocation sends (see send_from).
-      obs::scoped_trace_ctx trace_ctx(obs::next_trace_id(), 0);
-      a.reader->invoke_read(a.port);
+      std::lock_guard<std::mutex> lk(a.mu);
+      before = a.reads_done;
+      a.open_op_index = a.hist.begin_op(a.self, false, now_ns());
+      a.op_open = true;
     }
-    poll_client_completion(a);
+    // Register automata never stamp their messages; the ambient trace
+    // context tags everything this invocation sends (see send_from).
+    obs::scoped_trace_ctx trace_ctx(obs::next_trace_id(), 0);
+    a.reader->invoke_read(net);
   });
-  std::unique_lock<std::mutex> lk(mu_);
-  if (!cv_.wait_for(lk, timeout, [&] { return a.reads_done > before; })) {
-    return std::nullopt;
+  {
+    std::unique_lock<std::mutex> lk(a.mu);
+    if (!a.cv.wait_for(lk, timeout, [&] { return a.reads_done > before; })) {
+      return std::nullopt;
+    }
   }
+  std::lock_guard<std::mutex> step(a.step_mu);
   return a.reader->last_read();
 }
 
@@ -335,26 +359,19 @@ bool node::blocking_write(std::size_t actor, value_t v,
                           std::chrono::milliseconds timeout) {
   actor_state& a = actor_at(actor);
   FASTREG_EXPECTS(a.writer != nullptr);
-  std::uint64_t before;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    before = a.writes_done;
-  }
-  post_to(home_of(a), [this, &a, v = std::move(v)]() mutable {
+  std::uint64_t before = 0;
+  invoke(a, [this, &a, &before, &v](automaton&, netout& net) {
     {
-      std::lock_guard<std::mutex> step(a.step_mu);
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        a.open_op_index = a.hist.begin_op(a.self, true, now_ns(), v);
-        a.op_open = true;
-      }
-      obs::scoped_trace_ctx trace_ctx(obs::next_trace_id(), 0);
-      a.writer->invoke_write(a.port, std::move(v));
+      std::lock_guard<std::mutex> lk(a.mu);
+      before = a.writes_done;
+      a.open_op_index = a.hist.begin_op(a.self, true, now_ns(), v);
+      a.op_open = true;
     }
-    poll_client_completion(a);
+    obs::scoped_trace_ctx trace_ctx(obs::next_trace_id(), 0);
+    a.writer->invoke_write(net, std::move(v));
   });
-  std::unique_lock<std::mutex> lk(mu_);
-  return cv_.wait_for(lk, timeout, [&] { return a.writes_done > before; });
+  std::unique_lock<std::mutex> lk(a.mu);
+  return a.cv.wait_for(lk, timeout, [&] { return a.writes_done > before; });
 }
 
 bool node::blocking_op(const std::function<void(automaton&, netout&)>& start,
@@ -367,26 +384,11 @@ bool node::blocking_op(std::size_t actor,
                        std::chrono::milliseconds timeout) {
   actor_state& a = actor_at(actor);
   FASTREG_EXPECTS(a.async_iface != nullptr);
-  auto started = std::make_shared<bool>(false);
-  post_to(home_of(a), [this, &a, start, started] {
-    {
-      std::lock_guard<std::mutex> step(a.step_mu);
-      start(*a.automaton_, a.port);
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        *started = true;
-        // Mirror immediately: the wait predicate must not observe the
-        // stale pre-invocation idle state as completion.
-        a.async_busy = a.async_iface->op_in_progress();
-        a.async_done = a.async_iface->ops_completed();
-        a.async_in_flight = a.async_iface->ops_in_flight();
-      }
-    }
-    cv_.notify_all();
-  });
-  std::unique_lock<std::mutex> lk(mu_);
-  return cv_.wait_for(lk, timeout,
-                      [&] { return *started && !a.async_busy; });
+  // The step mirrors its own effect before invoke returns, so the wait
+  // cannot observe the stale pre-invocation idle state as completion.
+  invoke(a, start);
+  std::unique_lock<std::mutex> lk(a.mu);
+  return a.cv.wait_for(lk, timeout, [&] { return !a.async_busy; });
 }
 
 bool node::wait_ops_in_flight_below(std::size_t limit,
@@ -398,9 +400,9 @@ bool node::wait_ops_in_flight_below(std::size_t actor, std::size_t limit,
                                     std::chrono::milliseconds timeout) {
   actor_state& a = actor_at(actor);
   FASTREG_EXPECTS(a.async_iface != nullptr);
-  std::unique_lock<std::mutex> lk(mu_);
-  return cv_.wait_for(lk, timeout,
-                      [&] { return a.async_in_flight < limit; });
+  std::unique_lock<std::mutex> lk(a.mu);
+  return a.cv.wait_for(lk, timeout,
+                       [&] { return a.async_in_flight < limit; });
 }
 
 bool node::wait_ops_completed(std::uint64_t target,
@@ -412,15 +414,15 @@ bool node::wait_ops_completed(std::size_t actor, std::uint64_t target,
                               std::chrono::milliseconds timeout) {
   actor_state& a = actor_at(actor);
   FASTREG_EXPECTS(a.async_iface != nullptr);
-  std::unique_lock<std::mutex> lk(mu_);
-  return cv_.wait_for(lk, timeout, [&] { return a.async_done >= target; });
+  std::unique_lock<std::mutex> lk(a.mu);
+  return a.cv.wait_for(lk, timeout, [&] { return a.async_done >= target; });
 }
 
 std::uint64_t node::async_completed() const { return async_completed(0); }
 
 std::uint64_t node::async_completed(std::size_t actor) const {
   actor_state& a = actor_at(actor);
-  std::lock_guard<std::mutex> lk(mu_);
+  std::lock_guard<std::mutex> lk(a.mu);
   return a.async_done;
 }
 
@@ -447,15 +449,12 @@ bool node::try_run_on_reactor(std::size_t actor,
                               const std::function<void(automaton&)>& fn) {
   actor_state& a = actor_at(actor);
   reactor& home = home_of(a);
-  {
-    // Only a definitely-not-running reactor short-circuits. A merely
-    // stop-REQUESTED reactor may still be draining: returning false here
-    // would let run_on_reactor's inline fallback race the live reactor
-    // thread; posting is safe either way (the task runs on the reactor,
-    // or the exit path discards it and the wait below observes that).
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!started_ || home.exited) return false;
-  }
+  // Only a definitely-not-running reactor short-circuits. A merely
+  // stop-REQUESTED reactor may still be draining: returning false here
+  // would let run_on_reactor's inline fallback race the live reactor
+  // thread; posting is safe either way (the task runs on the reactor, or
+  // the exit path discards it and wakes the wait below).
+  if (!running(home)) return false;
   auto done = std::make_shared<bool>(false);
   // fn is copied into the task: if the reactor exits without draining
   // it, the closure outlives this call (reactor_main clears the queue on
@@ -464,16 +463,16 @@ bool node::try_run_on_reactor(std::size_t actor,
     {
       std::lock_guard<std::mutex> step(a.step_mu);
       fn(*a.automaton_);
-    }
-    poll_client_completion(a);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
+      (void)sync_mirror(a);  // the notify below wakes its waiters too
+      std::lock_guard<std::mutex> lk(a.mu);
       *done = true;
     }
-    cv_.notify_all();
+    a.cv.notify_all();
   });
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [&] { return *done || home.exited; });
+  std::unique_lock<std::mutex> lk(a.mu);
+  a.cv.wait(lk, [&] {
+    return *done || home.exited.load(std::memory_order_acquire);
+  });
   // A task the reactor exited without draining never ran and never will;
   // report the node unreachable rather than running fn here.
   return *done;
@@ -489,22 +488,19 @@ void node::run_on_reactor_net(
   actor_state& a = actor_at(actor);
   const bool ran = try_run_on_reactor(
       actor, [&a, &fn](automaton& au) { fn(au, a.port); });
-  if (!ran) {
-    {
-      std::lock_guard<std::mutex> step(a.step_mu);
-      fn(*a.automaton_, a.port);
-    }
-    poll_client_completion(a);
-  }
+  if (!ran) invoke(a, fn);
 }
 
 checker::history node::hist() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (actors_.size() == 1) return actors_[0]->hist;
+  if (actors_.size() == 1) {
+    std::lock_guard<std::mutex> lk(actors_[0]->mu);
+    return actors_[0]->hist;
+  }
   // Hub node: merge the actors' histories by invocation time (same merge
   // the cluster applies across nodes).
   std::vector<checker::op_record> all;
   for (const auto& a : actors_) {
+    std::lock_guard<std::mutex> lk(a->mu);
     for (const auto& op : a->hist.ops()) all.push_back(op);
   }
   std::sort(all.begin(), all.end(),
@@ -527,10 +523,10 @@ checker::history node::hist() const {
   return merged;
 }
 
-void node::poll_client_completion(actor_state& a) {
-  std::lock_guard<std::mutex> step(a.step_mu);
+bool node::sync_mirror(actor_state& a) {
+  std::lock_guard<std::mutex> lk(a.mu);
+  bool changed = false;
   if (a.async_iface != nullptr) {
-    std::lock_guard<std::mutex> lk(mu_);
     const bool busy = a.async_iface->op_in_progress();
     const std::uint64_t done = a.async_iface->ops_completed();
     const std::size_t in_flight = a.async_iface->ops_in_flight();
@@ -539,31 +535,37 @@ void node::poll_client_completion(actor_state& a) {
       a.async_busy = busy;
       a.async_done = done;
       a.async_in_flight = in_flight;
-      cv_.notify_all();
+      changed = true;
     }
   }
-  if (a.reader != nullptr) {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (a.op_open && a.reader->reads_completed() > a.reads_done) {
-      const auto& res = a.reader->last_read();
-      FASTREG_CHECK(res.has_value());
-      a.hist.complete_read(a.open_op_index, now_ns(), res->ts, res->wid,
-                           res->val, res->rounds);
-      a.op_open = false;
-      a.reads_done = a.reader->reads_completed();
-      cv_.notify_all();
-    }
+  if (a.reader != nullptr && a.op_open &&
+      a.reader->reads_completed() > a.reads_done) {
+    const auto& res = a.reader->last_read();
+    FASTREG_CHECK(res.has_value());
+    a.hist.complete_read(a.open_op_index, now_ns(), res->ts, res->wid,
+                         res->val, res->rounds);
+    a.op_open = false;
+    a.reads_done = a.reader->reads_completed();
+    changed = true;
   }
-  if (a.writer != nullptr) {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (a.op_open && a.writer->writes_completed() > a.writes_done) {
-      a.hist.complete_write(a.open_op_index, now_ns(),
-                            a.writer->last_write_rounds());
-      a.op_open = false;
-      a.writes_done = a.writer->writes_completed();
-      cv_.notify_all();
-    }
+  if (a.writer != nullptr && a.op_open &&
+      a.writer->writes_completed() > a.writes_done) {
+    a.hist.complete_write(a.open_op_index, now_ns(),
+                          a.writer->last_write_rounds());
+    a.op_open = false;
+    a.writes_done = a.writer->writes_completed();
+    changed = true;
   }
+  return changed;
+}
+
+void node::poll_client_completion(actor_state& a) {
+  bool wake_waiters;
+  {
+    std::lock_guard<std::mutex> step(a.step_mu);
+    wake_waiters = sync_mirror(a);
+  }
+  if (wake_waiters) a.cv.notify_all();
 }
 
 // ------------------------------------------------------------------ reactor --
@@ -597,7 +599,8 @@ void node::reactor_main(reactor& r) {
       }
       n = 0;
     }
-    // Drain posted tasks first (includes invocations and shipped sends).
+    // Drain posted tasks first (staged invocation sends, shipped sends,
+    // control-plane tasks).
     std::deque<std::function<void()>> tasks;
     {
       std::lock_guard<std::mutex> lk(r.q_mu);
@@ -607,10 +610,7 @@ void node::reactor_main(reactor& r) {
       rm_[r.index].tasks_run->inc(static_cast<std::uint64_t>(tasks.size()));
     }
     for (auto& t : tasks) t();
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (stop_requested_) break;
-    }
+    if (stop_requested_.load(std::memory_order_acquire)) break;
     bool window_expired = false;
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
@@ -663,7 +663,7 @@ void node::reactor_main(reactor& r) {
   }
   {
     std::lock_guard<std::mutex> lk(mu_);
-    r.exited = true;
+    r.exited.store(true, std::memory_order_release);
   }
   {
     // Undrained tasks never run: they must not fire on a later start()
@@ -672,6 +672,13 @@ void node::reactor_main(reactor& r) {
     r.tasks.clear();
   }
   cv_.notify_all();
+  // Every actor's waiters re-check: a task-done wait on this reactor will
+  // never be satisfied now. Taking each channel's mutex orders the exit
+  // flag before the waiter's predicate check.
+  for (auto& a : actors_) {
+    { std::lock_guard<std::mutex> lk(a->mu); }
+    a->cv.notify_all();
+  }
   tls_reactor = nullptr;
 }
 
@@ -685,7 +692,6 @@ void node::adopt_inbound(reactor& r, unique_fd fd) {
   c.owner = actors_.empty() ? nullptr : actors_[0].get();
   c.serial = next_conn_serial_.fetch_add(1, std::memory_order_relaxed);
   c.fault = default_fault_.load(std::memory_order_relaxed);
-  c.cur_window_us = opt_.adaptive ? 0 : opt_.batch_window_us;
   const bool paused = c.fault == conn_fault::pause;
   r.conns.emplace(cfd, std::move(c));
   wm_.connections->add(1);
@@ -737,9 +743,9 @@ void node::handle_readable(reactor& r, int fd) {
     // Frames parse IN PLACE from the read buffer (only a trailing
     // partial frame is copied aside); the automaton steps run inside the
     // drain callback, so a burst of frames in one read is one pass over
-    // the bytes. The step mutex is uncontended for client actors (their
-    // whole data path lives on this reactor); it serializes a server
-    // automaton stepped from several reactors.
+    // the bytes. The step mutex serializes these steps with a client
+    // actor's invocations (which run on the caller's thread) and with a
+    // server automaton's steps on other reactors.
     r.drain_guard_fd = fd;
     {
       std::lock_guard<std::mutex> step(owner->step_mu);
@@ -831,7 +837,12 @@ void node::flush(reactor& r, int fd, connection& c) {
     if (cnt == 0) break;  // only a not-yet-filled tail block: nothing queued
     std::size_t queued = 0;
     for (std::size_t i = 0; i < cnt; ++i) queued += iov[i].iov_len;
-    const ssize_t n = ::writev(fd, iov, static_cast<int>(cnt));
+    // sendmsg rather than writev: MSG_NOSIGNAL turns a write to a reset
+    // peer into EPIPE instead of a process-killing SIGPIPE.
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = cnt;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     wm_.writev_calls->inc();
     if (n > 0) {
       // Possibly a SHORT write: consume() leaves the remainder (even
@@ -844,6 +855,9 @@ void node::flush(reactor& r, int fd, connection& c) {
     }
     if (n < 0 && errno == EINTR) continue;  // interrupted write: retry
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (n < 0 && (errno == EPIPE || errno == ECONNRESET)) {
+      wm_.conn_resets->inc();  // the peer reset the connection
+    }
     close_conn(r, fd);
     return;
   }
@@ -933,8 +947,7 @@ void node::after_queue(reactor& r, int fd, connection& c) {
     }
     return;
   }
-  const bool windowed = opt_.adaptive || c.cur_window_us > 0;
-  if (!windowed) {
+  if (!opt_.adaptive && opt_.batch_window_us == 0) {
     // Immediate mode (window 0): the pre-window behavior, one flush per
     // queueing step.
     wm_.flushes_immediate->inc();
@@ -959,17 +972,19 @@ void node::after_queue(reactor& r, int fd, connection& c) {
     flush(r, fd, c);
     return;
   }
-  if (c.cur_window_us > 0) {
+  if (!opt_.adaptive) {
     arm_window_at(r, c.window_open_ns +
-                         static_cast<std::uint64_t>(c.cur_window_us) * 1000);
+                         static_cast<std::uint64_t>(opt_.batch_window_us) *
+                             1000);
   }
-  // Adaptive at window 0: flushed at the end of this reactor step (see
-  // flush_step_end), so a lone frame still leaves with step latency.
+  // Adaptive: flushed at the end of this reactor step (flush_step_end).
 }
 
 void node::flush_expired(reactor& r) {
   r.window_armed = false;
   const std::uint64_t now = now_ns();
+  const std::uint64_t window_ns =
+      static_cast<std::uint64_t>(opt_.batch_window_us) * 1000;
   std::vector<int> fds;
   fds.swap(r.dirty_fds);
   std::uint64_t next_deadline = 0;
@@ -986,8 +1001,7 @@ void node::flush_expired(reactor& r) {
       c.dirty = false;
       continue;
     }
-    const std::uint64_t deadline =
-        c.window_open_ns + static_cast<std::uint64_t>(c.cur_window_us) * 1000;
+    const std::uint64_t deadline = c.window_open_ns + window_ns;
     if (deadline > now) {
       // Still inside its window: keep listed, re-arm for it below.
       r.dirty_fds.push_back(fd);
@@ -995,20 +1009,6 @@ void node::flush_expired(reactor& r) {
         next_deadline = deadline;
       }
       continue;
-    }
-    // Adaptive policy, per connection: widen while the window keeps
-    // catching multi-frame backlog, shrink toward immediate when it
-    // stops.
-    if (opt_.adaptive) {
-      if (c.frames_since_flush >= 8) {
-        c.cur_window_us =
-            c.cur_window_us == 0
-                ? 50
-                : std::min(opt_.window_cap_us(), c.cur_window_us * 2);
-        wm_.window_widen->inc();
-      } else if (c.frames_since_flush <= 1) {
-        c.cur_window_us = c.cur_window_us >= 100 ? c.cur_window_us / 2 : 0;
-      }
     }
     wm_.flushes_window->inc();
     finish_window(c);
@@ -1023,8 +1023,10 @@ void node::flush_expired(reactor& r) {
 }
 
 void node::flush_step_end(reactor& r) {
-  // Only adaptive window-0 connections flush at step end; fixed-window
-  // connections wait for the timer.
+  // Only adaptive connections flush at step end; fixed-window connections
+  // wait for the timer. A burst one step queued is flushed here too: it
+  // is already one writev, and in a closed loop nothing else would join
+  // it before its replies come back.
   if (!opt_.adaptive || r.dirty_fds.empty()) return;
   std::vector<int> fds;
   fds.swap(r.dirty_fds);
@@ -1032,25 +1034,14 @@ void node::flush_step_end(reactor& r) {
     auto it = r.conns.find(fd);
     if (it == r.conns.end()) continue;
     auto& c = it->second;
-    if (c.fault == conn_fault::pause || c.cur_window_us > 0) {
+    if (c.fault == conn_fault::pause) {
       r.dirty_fds.push_back(fd);
       continue;
     }
-    if (c.window_open_ns == 0) {
-      c.dirty = false;
-      continue;
-    }
-    if (c.frames_since_flush >= 8) {
-      // This step queued a burst: re-open the window instead of flushing.
-      c.cur_window_us = 50;
-      wm_.window_widen->inc();
-      arm_window_at(r, c.window_open_ns + 50'000);
-      r.dirty_fds.push_back(fd);
-      continue;
-    }
+    c.dirty = false;
+    if (c.window_open_ns == 0) continue;  // already flushed
     wm_.flushes_step->inc();
     finish_window(c);
-    c.dirty = false;
     if (c.connecting) {
       update_epoll(r, fd, c);
     } else {
@@ -1062,13 +1053,10 @@ void node::flush_step_end(reactor& r) {
 // ------------------------------------------------------------------- faults --
 
 void node::run_on_all_reactors(const std::function<void(reactor&)>& fn) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    // Not running: no reactor thread exists, so no connection exists
-    // either (both inbound and outbound connections are created on
-    // reactors). Nothing to apply to.
-    if (!started_) return;
-  }
+  // Not running: no reactor thread exists, so no connection exists
+  // either (both inbound and outbound connections are created on
+  // reactors). Nothing to apply to.
+  if (!started_.load(std::memory_order_acquire)) return;
   auto acked = std::make_shared<std::size_t>(0);
   for (auto& r : reactors_) {
     post_to(*r, [this, rp = r.get(), fn, acked] {
@@ -1084,7 +1072,7 @@ void node::run_on_all_reactors(const std::function<void(reactor&)>& fn) {
   cv_.wait(lk, [&] {
     std::size_t live = 0;
     for (const auto& r : reactors_) {
-      if (!r->exited) ++live;
+      if (!r->exited.load(std::memory_order_acquire)) ++live;
     }
     return *acked >= live;
   });
@@ -1188,12 +1176,14 @@ void node::send(const process_id& to, message m) {
   actor_state& a = actor_at(0);
   std::lock_guard<std::mutex> step(a.step_mu);
   send_from(a, to, std::move(m));
+  post_staged(a);
 }
 
 void node::send_batch(const process_id& to, std::vector<message> msgs) {
   actor_state& a = actor_at(0);
   std::lock_guard<std::mutex> step(a.step_mu);
   send_batch_from(a, to, std::move(msgs));
+  post_staged(a);
 }
 
 void node::send_from(actor_state& a, const process_id& to, message m) {
@@ -1230,18 +1220,11 @@ void node::route_from(actor_state& a, const process_id& to,
                       std::vector<message> msgs, bool batch) {
   reactor* cur = current_reactor();
   if (cur == nullptr) {
-    // Off-reactor send (external driver): run on the actor's home
-    // reactor, which then owns any connection it creates.
-    reactor& home = home_of(a);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!started_ || home.exited) return;  // node not running: drop
-    }
-    auto moved = std::make_shared<std::vector<message>>(std::move(msgs));
-    post_to(home, [this, &a, to, moved, batch] {
-      std::lock_guard<std::mutex> step(a.step_mu);
-      route_from(a, to, std::move(*moved), batch);
-    });
+    // Off-reactor step (an invocation on the caller's thread, or an
+    // external driver): staged, and routed on the actor's home reactor --
+    // which then owns any connection it creates -- once the step ends
+    // (post_staged).
+    a.staged.push_back(staged_send{to, std::move(msgs), batch});
     return;
   }
   if (to.is_server()) {
@@ -1302,10 +1285,7 @@ void node::ship_to(const conn_ref& ref, actor_state& a, int server_index,
   // owning thread. Ship them over; the serial check drops the frames
   // rather than landing them on a recycled fd.
   reactor& r = *reactors_[ref.reactor];
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (r.exited) return;
-  }
+  if (r.exited.load(std::memory_order_acquire)) return;
   auto moved = std::make_shared<std::vector<message>>(std::move(msgs));
   post_to(r, [this, &a, ref, server_index, moved, batch] {
     reactor& owner = *reactors_[ref.reactor];
@@ -1339,7 +1319,6 @@ node::conn_ref node::open_to_server(reactor& r, actor_state& a,
   c.owner = &a;
   c.serial = next_conn_serial_.fetch_add(1, std::memory_order_relaxed);
   c.fault = default_fault_.load(std::memory_order_relaxed);
-  c.cur_window_us = opt_.adaptive ? 0 : opt_.batch_window_us;
   const bool paused = c.fault == conn_fault::pause;
   r.conns.emplace(raw, std::move(c));
   wm_.connections->add(1);

@@ -25,22 +25,37 @@
 // the reactor pool -- the fan-in configuration the store's async
 // front-end uses to drive thousands of pipelined client connections from
 // a handful of threads. Each actor is pinned to a home reactor
-// (index % reactors); its invocations run there and its outbound
-// connections are created there, so a client actor's whole data path is
-// single-threaded. Server automata may be stepped from any reactor
-// (deliveries arrive on whichever reactor owns the inbound connection);
-// a per-actor step mutex serializes those steps.
+// (index % reactors), which creates and owns its outbound connections.
+//
+// Threading contract. Every automaton step -- an invocation, a delivered
+// frame, a control-plane task -- runs under the actor's step mutex, so an
+// actor's steps are serialized whichever thread runs them. A client
+// actor's INVOCATION step (invoke, blocking_op, blocking_read/write) runs
+// on the calling thread: it never waits for a reactor. Its sends are
+// staged under the step mutex and posted to the home reactor as one task
+// when the step ends; that task encodes them into the reactor-owned
+// connections and flushes them, so connections are only ever touched by
+// their reactor. Deliveries (and so completions) run on the reactor that
+// owns the inbound connection. Server automata may be stepped from any
+// reactor; the step mutex serializes those steps too.
+//
+// Waiting: each actor has its own wait channel (mutex + condition
+// variable) guarding a mirror of its completion state. A completion wakes
+// only the threads waiting on that actor; a reactor exit wakes every
+// actor's waiters.
 //
 // Outbound path (zero-copy): frames encode straight into the destination
 // connection's buffer_chain (exact-size reservation, no intermediate byte
-// vector), and a flush hands the whole chain to one writev. The flush
-// controller is per-CONNECTION: each connection has its own batch window
-// (node_options::batch_window_us / adaptive) plus a bytes budget
-// (node_options::flush_bytes) that flushes early when the backlog is
-// already worth a writev. Coalescing is strictly at the BYTE level --
-// each send/send_batch still forms its own frame, so the receiving
-// automaton observes exactly the same step structure (one on_batch per
-// send_batch) as the simulator's envelope model, whatever the window is.
+// vector), and a flush hands the whole chain to one sendmsg (MSG_NOSIGNAL:
+// a reset peer closes the connection instead of raising SIGPIPE). The
+// flush controller is per-CONNECTION: a fixed batch window
+// (node_options::batch_window_us), step-end flushing (adaptive), or an
+// immediate flush per send, plus a bytes budget (node_options::flush_bytes)
+// that flushes early when the backlog is already worth a writev.
+// Coalescing is strictly at the BYTE level -- each send/send_batch still
+// forms its own frame, so the receiving automaton observes exactly the
+// same step structure (one on_batch per send_batch) as the simulator's
+// envelope model, whatever the window is.
 //
 // Fault hooks: every connection can be paused (no reads, no writes --
 // bytes queue up; healing flushes them), blackholed (reads and writes
@@ -100,13 +115,15 @@ struct node_options {
   /// automaton steps (Nagle-style: higher throughput for bounded added
   /// latency).
   std::uint32_t batch_window_us{0};
-  /// Adaptive mode: each connection's effective window starts at 0 and
-  /// widens -- up to batch_window_us (or adaptive_cap_us when
-  /// batch_window_us is 0) -- while its flushes keep observing
-  /// multi-frame backlog; it collapses back toward 0 when that
-  /// connection goes idle, so a lone request is not taxed the full
-  /// window.
+  /// Adaptive mode: a connection's queued frames flush at the end of the
+  /// reactor step that queued them, so everything one step queued (a
+  /// burst of invocations, a server's replies to one read) leaves in one
+  /// writev, and a lone frame still leaves with step latency. No window
+  /// is ever held open: in a closed loop nothing else arrives until the
+  /// replies come back, so waiting would only idle the pipeline.
   bool adaptive{false};
+  /// Accepted for configuration compatibility (adaptive:<cap_us>); the
+  /// step-end controller never waits, so no cap applies.
   std::uint32_t adaptive_cap_us{500};
   /// Bytes budget of the per-connection flush controller: under a batch
   /// window, a connection whose backlog reaches this many bytes is
@@ -117,10 +134,6 @@ struct node_options {
   /// exactly one reactor; reactor 0 accepts and deals new connections
   /// round-robin.
   std::uint32_t reactors{1};
-
-  [[nodiscard]] std::uint32_t window_cap_us() const {
-    return batch_window_us != 0 ? batch_window_us : adaptive_cap_us;
-  }
 
   /// Reads FASTREG_BATCH_WINDOW_US (an integer window in microseconds,
   /// "0"/unset = immediate flush, or "adaptive" / "adaptive:<cap_us>"),
@@ -158,7 +171,17 @@ class node final : public netout {
   void start();
   void stop();
 
-  /// Blocking client operations (call from any non-reactor thread).
+  /// Runs one invocation step of `actor` on the CALLING thread, under the
+  /// actor's step mutex: `fn` may begin ops and send through the netout it
+  /// is handed. The sends it makes are posted to the actor's home reactor
+  /// as one task (dropped when the node is not running); the call never
+  /// waits for that reactor. The one invocation path of every client
+  /// entry point below.
+  void invoke(std::size_t actor,
+              const std::function<void(automaton&, netout&)>& fn);
+
+  /// Blocking client operations of a single-register actor (call from any
+  /// non-reactor thread): invoke, then wait on the actor's channel.
   /// Returns nullopt / false on timeout.
   [[nodiscard]] std::optional<read_result> blocking_read(
       std::chrono::milliseconds timeout = std::chrono::seconds(10));
@@ -173,10 +196,9 @@ class node final : public netout {
       std::chrono::milliseconds timeout = std::chrono::seconds(10));
 
   /// Generic blocking invocation for automata that expose
-  /// async_client_iface (the store front-end): `start` runs on the
-  /// actor's home reactor (it may begin several pipelined ops); returns
-  /// once every op it began completed, or false on timeout. Histories
-  /// are the caller's job.
+  /// async_client_iface (the store front-end): invokes `start` (it may
+  /// begin several pipelined ops) and returns once the actor has no op in
+  /// progress, or false on timeout. Histories are the caller's job.
   [[nodiscard]] bool blocking_op(
       const std::function<void(automaton&, netout&)>& start,
       std::chrono::milliseconds timeout = std::chrono::seconds(10));
@@ -184,9 +206,10 @@ class node final : public netout {
       std::size_t actor, const std::function<void(automaton&, netout&)>& start,
       std::chrono::milliseconds timeout = std::chrono::seconds(10));
 
-  // Pipelined async client support (async_client_iface automata). The
-  // reactor mirrors the iface's in-flight and completed counters under
-  // mu_ so callers can wait without racing automaton internals.
+  // Pipelined async client support (async_client_iface automata). Every
+  // step of the actor mirrors the iface's in-flight and completed counters
+  // into the actor's wait channel so callers can wait without racing
+  // automaton internals.
 
   /// Waits until fewer than `limit` ops are in flight on the actor (a
   /// pipeline slot is free). False on timeout.
@@ -204,14 +227,16 @@ class node final : public netout {
   [[nodiscard]] bool wait_ops_completed(std::size_t actor,
                                         std::uint64_t target,
                                         std::chrono::milliseconds timeout);
-  /// Reactor-mirrored ops_completed() (safe from any thread).
+  /// Mirrored ops_completed() (safe from any thread).
   [[nodiscard]] std::uint64_t async_completed() const;
   [[nodiscard]] std::uint64_t async_completed(std::size_t actor) const;
 
-  /// Runs `fn` on the actor's home reactor and waits for it to finish.
-  /// The only safe way for non-reactor code to inspect automaton state
-  /// that late messages may still mutate (e.g. draining store
-  /// completions).
+  // Reconfiguration control plane: tasks posted to the actor's home
+  // reactor, serialized with live traffic there. Client data paths use
+  // invoke instead.
+
+  /// Runs `fn` on the actor's home reactor and waits for it to finish
+  /// (inline when the reactor is not running).
   void run_on_reactor(const std::function<void(automaton&)>& fn);
   void run_on_reactor(std::size_t actor,
                       const std::function<void(automaton&)>& fn);
@@ -228,9 +253,9 @@ class node final : public netout {
       std::size_t actor, const std::function<void(automaton&)>& fn);
 
   /// Like run_on_reactor, but hands `fn` the actor's netout so it can
-  /// start or re-issue protocol traffic (the reconfiguration control
-  /// plane: migration handoff ops, resuming parked ops). Does NOT wait
-  /// for any started op to complete -- pair with a completion poll.
+  /// start or re-issue protocol traffic (migration handoff ops, resuming
+  /// parked ops). Does NOT wait for any started op to complete -- pair
+  /// with a completion poll.
   void run_on_reactor_net(const std::function<void(automaton&, netout&)>& fn);
   void run_on_reactor_net(
       std::size_t actor,
@@ -271,7 +296,7 @@ class node final : public netout {
   struct connection {
     unique_fd fd;
     frame_buffer in;
-    /// Outbound frames, encoded in place; flushed with one writev.
+    /// Outbound frames, encoded in place; flushed with one sendmsg.
     buffer_chain out;
     std::optional<process_id> peer;
     /// Actor whose traffic this connection carries: the opening actor
@@ -284,8 +309,7 @@ class node final : public netout {
     /// Queued bytes awaiting a deferred (windowed) flush.
     bool dirty{false};
     conn_fault fault{conn_fault::none};
-    /// Per-connection flush-controller state (see node_options).
-    std::uint32_t cur_window_us{0};
+    /// Frames queued since the last flush (flush-controller state).
     std::uint64_t frames_since_flush{0};
     /// now_ns() when this connection's current batch window opened
     /// (first frame queued since its last flush); 0 = no window open.
@@ -309,8 +333,8 @@ class node final : public netout {
     bool drain_close_pending{false};
     std::mutex q_mu;
     std::deque<std::function<void()>> tasks;
-    /// Guarded by the node's mu_ (paired with cv_).
-    bool exited{false};
+    /// Set once the reactor thread left its loop; its queue is then dead.
+    std::atomic<bool> exited{false};
   };
 
   /// The actor's netout: routes sends through the hosting node with the
@@ -320,6 +344,14 @@ class node final : public netout {
     actor_state* a{nullptr};
     void send(const process_id& to, message m) override;
     void send_batch(const process_id& to, std::vector<message> msgs) override;
+  };
+
+  /// One send of an off-reactor invocation step, staged until the step
+  /// ends.
+  struct staged_send {
+    process_id to{};
+    std::vector<message> msgs{};
+    bool batch{false};
   };
 
   struct actor_state {
@@ -332,23 +364,27 @@ class node final : public netout {
     writer_iface* writer{nullptr};
     obs::recorder* rec{nullptr};
     actor_port port{};
-    /// Serializes automaton steps. Uncontended for client actors (all
-    /// their steps run on the home reactor); contended only for a server
-    /// actor stepped from several reactors. All sends happen under it.
+    /// Serializes automaton steps, wherever they run: invocations on the
+    /// caller's thread, deliveries and control tasks on reactors. All
+    /// sends happen under it.
     std::mutex step_mu;
     /// Outbound connections to servers, by server index. Guarded by
     /// step_mu. Entries are validated lazily against the connection's
     /// serial (a closed connection leaves a stale ref behind).
     std::map<std::uint32_t, conn_ref> out_to_server;
-    // ---- guarded by the node's mu_ ----
+    /// Sends of the current off-reactor step. Guarded by step_mu.
+    std::vector<staged_send> staged;
+    // ---- the actor's wait channel: guarded by mu, signalled on cv ----
+    mutable std::mutex mu;
+    std::condition_variable cv;
     checker::history hist;
     std::uint64_t reads_done{0};
     std::uint64_t writes_done{0};
     std::size_t open_op_index{0};
     bool op_open{false};
-    // Reactor-maintained mirror of async_iface state, so blocking_op and
-    // the pipelined waiters can wait under mu_ without racing automaton
-    // internals.
+    // Mirror of async_iface state, refreshed at the end of every step, so
+    // blocking_op and the pipelined waiters can wait under mu without
+    // racing automaton internals.
     bool async_busy{false};
     std::uint64_t async_done{0};
     std::size_t async_in_flight{0};
@@ -376,11 +412,10 @@ class node final : public netout {
   /// arming / bytes-budget flush under a batch window.
   void after_queue(reactor& r, int fd, connection& c);
   /// Window-expiry path: flushes connections whose window deadline
-  /// passed, applies the per-connection adaptive policy, re-arms for the
-  /// earliest remaining deadline.
+  /// passed and re-arms for the earliest remaining deadline.
   void flush_expired(reactor& r);
-  /// Step-end path: adaptive-mode connections currently at window 0
-  /// flush at the end of the reactor step that queued their bytes.
+  /// Step-end path: adaptive-mode connections flush at the end of the
+  /// reactor step that queued their bytes.
   void flush_step_end(reactor& r);
   /// Closes a connection's window accounting (observe wait, reset
   /// counters) just before its flush.
@@ -388,6 +423,18 @@ class node final : public netout {
   void arm_window_at(reactor& r, std::uint64_t deadline_ns);
   void update_epoll(reactor& r, int fd, connection& c);
   void apply_fault(reactor& r, int fd, connection& c, conn_fault f);
+
+  /// True while `r`'s thread runs its loop (posted tasks will run).
+  [[nodiscard]] bool running(const reactor& r) const {
+    return started_.load(std::memory_order_acquire) &&
+           !r.exited.load(std::memory_order_acquire);
+  }
+  /// Invocation step on the calling thread (see invoke).
+  void invoke(actor_state& a,
+              const std::function<void(automaton&, netout&)>& fn);
+  /// Posts the actor's staged sends to its home reactor as one task.
+  /// Called with a.step_mu held.
+  void post_staged(actor_state& a);
 
   // Send path. All called with a.step_mu held (sends only originate
   // inside automaton steps / invocations, which hold it).
@@ -414,6 +461,11 @@ class node final : public netout {
   /// exited). No-op before start().
   void run_on_all_reactors(const std::function<void(reactor&)>& fn);
 
+  /// Refreshes the actor's mirror and closes register ops whose
+  /// completion the step produced. Called with a.step_mu held; returns
+  /// whether the waiters on a.cv must be woken.
+  [[nodiscard]] bool sync_mirror(actor_state& a);
+  /// sync_mirror under the step mutex, then wakes the actor's waiters.
   void poll_client_completion(actor_state& a);
 
   system_config cfg_;
@@ -449,7 +501,6 @@ class node final : public netout {
     obs::counter* flushes_window{nullptr};
     obs::counter* flushes_step{nullptr};
     obs::counter* flushes_bytes{nullptr};
-    obs::counter* window_widen{nullptr};
     obs::counter* conn_resets{nullptr};
     obs::gauge* connections{nullptr};
     obs::gauge* backlog_bytes{nullptr};
@@ -469,10 +520,12 @@ class node final : public netout {
   std::vector<reactor_metrics> rm_;
   bool metrics_bound_{false};
 
+  /// Guards the acknowledgements of run_on_all_reactors (signalled on
+  /// cv_, also by a reactor exit).
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  bool started_{false};
-  bool stop_requested_{false};
+  std::atomic<bool> started_{false};
+  std::atomic<bool> stop_requested_{false};
 
   static std::uint64_t now_ns();
 };

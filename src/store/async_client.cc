@@ -159,10 +159,11 @@ submit_status async_session::try_put(const std::string& key, value_t v) {
 
 namespace {
 
-/// One client's session on a net::node (per-node or hub topology): ops
-/// go on the wire inside a reactor step on the client actor's home
-/// reactor, completions are harvested there, and both sides log into
-/// the deployment's shared op_log.
+/// One client's session on a net::node (per-node or hub topology): every
+/// submit and harvest is an invocation step of the client actor on the
+/// session's own thread (node::invoke), whose sends the actor's home
+/// reactor puts on the wire; both sides log into the deployment's shared
+/// op_log.
 class tcp_session final : public async_session {
  public:
   tcp_session(net::node& n, std::size_t actor, op_log& log,
@@ -187,14 +188,57 @@ class tcp_session final : public async_session {
                                         std::chrono::milliseconds(0))) {
       return submit_status::window_full;
     }
+    return begin(key, is_put, v, nullptr) ? submit_status::submitted
+                                          : submit_status::key_busy;
+  }
+
+  bool blocking_submit(const std::string& key, bool is_put, value_t v,
+                       std::chrono::milliseconds timeout) override {
+    for (;;) {
+      // A free window slot first; completions only ever shrink the window
+      // between this wait and the step below (this thread is the sole
+      // submitter on the client), so the slot cannot vanish.
+      if (!node_.wait_ops_in_flight_below(actor_, depth_, timeout)) {
+        return false;
+      }
+      std::uint64_t completed_before = 0;
+      if (begin(key, is_put, v, &completed_before)) return true;
+      // The key's previous op (possibly abandoned by a timed-out blocking
+      // call) is still in flight: wait for any completion, then retry.
+      if (!node_.wait_ops_completed(actor_, completed_before + 1, timeout)) {
+        return false;
+      }
+    }
+  }
+
+  /// One invocation step: harvests completions, then begins the op unless
+  /// its key still has one in flight (then `completed_before`, if given,
+  /// receives the completion count to wait past). True if the op began.
+  ///
+  /// Completion (t1) and invocation (t0) times are both taken inside the
+  /// step, under the actor's step mutex -- the same mutex the reactor
+  /// holds while it applies replies. Completions harvested here finished
+  /// strictly before this step, and the new op's requests leave strictly
+  /// after it, so recording t1 = steptime < t0 = steptime + 1 preserves
+  /// the real precedence -- timestamping outside the step would let a
+  /// just-finished same-key op appear concurrent with its successor,
+  /// which the checkers reject as a well-formedness violation.
+  bool begin(const std::string& key, bool is_put, const value_t& v,
+             std::uint64_t* completed_before) {
     bool begun = false;
     std::uint64_t steptime = 0;
     std::vector<store_result> done;
-    node_.run_on_reactor_net(actor_, [&](automaton& a, netout& net) {
+    node_.invoke(actor_, [&](automaton& a, netout& net) {
       steptime = now_ns();
       auto& c = dynamic_cast<client&>(a);
       done = c.take_completions();
-      if (c.has_pending(key)) return;  // same-key op still in flight
+      if (c.has_pending(key)) {
+        // Baseline for the caller's wait, captured inside the step:
+        // reading the mirror afterwards would race a completion landing
+        // in between and wait for one more than will ever come.
+        if (completed_before != nullptr) *completed_before = c.ops_completed();
+        return;
+      }
       if (is_put) {
         c.begin_put(key, v);
       } else {
@@ -207,76 +251,21 @@ class tcp_session final : public async_session {
       (void)log_.close(client_, done, steptime);
       stash(std::move(done));
     }
-    if (!begun) return submit_status::key_busy;
-    log_.open(client_, key, is_put, v, steptime + 1);
-    return submit_status::submitted;
+    if (begun) log_.open(client_, key, is_put, v, steptime + 1);
+    return begun;
   }
 
-  bool blocking_submit(const std::string& key, bool is_put, value_t v,
-                       std::chrono::milliseconds timeout) override {
-    for (;;) {
-      // A free window slot first; completions only ever shrink the window
-      // between this wait and the reactor step below (this thread is the
-      // sole submitter on the client), so the slot cannot vanish.
-      if (!node_.wait_ops_in_flight_below(actor_, depth_, timeout)) {
-        return false;
-      }
-      bool begun = false;
-      std::uint64_t completed_before = 0;
-      // Completion (t1) and invocation (t0) times are both taken ON the
-      // reactor, at the top of the step that harvests the completions and
-      // begins the new op. Completions harvested here finished strictly
-      // before this step ran, and the new op starts strictly after, so
-      // recording t1 = steptime < t0 = steptime + 1 preserves the real
-      // precedence -- timestamping outside the step would let a just-
-      // finished same-key op appear concurrent with its successor, which
-      // the checkers reject as a well-formedness violation.
-      std::uint64_t steptime = 0;
-      std::vector<store_result> done;
-      node_.run_on_reactor_net(actor_, [&](automaton& a, netout& net) {
-        steptime = now_ns();
-        auto& c = dynamic_cast<client&>(a);
-        done = c.take_completions();
-        if (c.has_pending(key)) {
-          // Baseline for the wait below, captured ON the reactor: reading
-          // the mirror after this step returns would race a completion
-          // landing in between and wait for one more than will ever come.
-          completed_before = c.ops_completed();
-          return;  // same-key op still in flight
-        }
-        if (is_put) {
-          c.begin_put(key, v);
-        } else {
-          c.begin_get(key);
-        }
-        c.flush(net);
-        begun = true;
-      });
-      if (!done.empty()) {
-        (void)log_.close(client_, done, steptime);
-        stash(std::move(done));
-      }
-      if (begun) {
-        log_.open(client_, key, is_put, v, steptime + 1);
-        return true;
-      }
-      // The key's previous op (possibly abandoned by a timed-out blocking
-      // call) is still in flight: wait for any completion, then retry.
-      if (!node_.wait_ops_completed(actor_, completed_before + 1, timeout)) {
-        return false;
-      }
-    }
-  }
-
-  /// take_completions on the reactor (so late server acks cannot race
-  /// the drain); closes log entries and stashes the results.
+  /// take_completions in an invocation step (so late server acks cannot
+  /// race the drain); closes log entries and stashes the results.
   void harvest() {
     std::vector<store_result> done;
-    node_.run_on_reactor(actor_, [&done](automaton& a) {
+    std::uint64_t steptime = 0;
+    node_.invoke(actor_, [&](automaton& a, netout&) {
+      steptime = now_ns();
       done = dynamic_cast<client&>(a).take_completions();
     });
     if (done.empty()) return;
-    (void)log_.close(client_, done, now_ns());
+    (void)log_.close(client_, done, steptime);
     stash(std::move(done));
   }
 

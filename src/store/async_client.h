@@ -25,7 +25,9 @@
 // thread (the same exclusivity rule as the blocking store calls, which
 // must not be mixed with an active session on that index). Different
 // sessions may live on different threads; on TCP they may share a hub
-// node whose reactor pool multiplexes all their connections.
+// node whose reactor pool multiplexes all their connections. On TCP a
+// submit runs its invocation step on the session's thread and never
+// waits for a reactor; only the wire work is the reactor's.
 //
 // Admission outcomes are counted in the process registry
 // (fastreg_store_admission_total{result=...}) so a scrape shows how
@@ -71,8 +73,9 @@ enum class submit_status : std::uint8_t {
 /// Invocation/completion log shared by every TCP session and blocking
 /// call of a deployment, written once and rebuilt into per-key histories
 /// on demand. Timestamps are steady-clock nanoseconds taken by the
-/// caller (ON the reactor for pipelined submits, so same-key precedence
-/// is preserved -- see tcp session internals). Thread-safe.
+/// caller (inside the client actor's invocation step for pipelined
+/// submits, under its step mutex, so same-key precedence is preserved --
+/// see tcp session internals). Thread-safe.
 class op_log {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);

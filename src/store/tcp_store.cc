@@ -37,15 +37,15 @@ std::optional<std::vector<store_result>> tcp_store::run_ops(
   const std::uint64_t t0 = now_ns();
   // Keys whose previous op timed out and is still in flight cannot be
   // re-begun (precondition); skip them -- the call reports failure but
-  // the process must not abort on the reactor thread.
-  auto skipped = std::make_shared<std::vector<std::string>>();
+  // the process must not abort.
+  std::vector<std::string> skipped;
   const bool wait_ok = n.blocking_op(
       actor,
-      [&kvs, is_put, skipped](automaton& a, netout& net) {
+      [&kvs, is_put, &skipped](automaton& a, netout& net) {
         auto& c = dynamic_cast<client&>(a);
         for (const auto& [key, v] : kvs) {
           if (c.has_pending(key)) {
-            skipped->push_back(key);
+            skipped.push_back(key);
             continue;
           }
           if (is_put) {
@@ -57,11 +57,11 @@ std::optional<std::vector<store_result>> tcp_store::run_ops(
         c.flush(net);
       },
       timeout);
-  // Harvest whatever completed, on the reactor thread so late server acks
+  // Harvest whatever completed in an invocation step, so late server acks
   // cannot race the drain. The haul may include stale completions of ops
   // a previous timed-out call abandoned.
   std::vector<store_result> results;
-  n.run_on_reactor(actor, [&results](automaton& a) {
+  n.invoke(actor, [&results](automaton& a, netout&) {
     results = dynamic_cast<client&>(a).take_completions();
   });
   const std::uint64_t t1 = now_ns();
@@ -73,8 +73,7 @@ std::optional<std::vector<store_result>> tcp_store::run_ops(
   std::vector<std::size_t> started;
   started.reserve(kvs.size());
   for (const auto& [key, v] : kvs) {
-    if (std::find(skipped->begin(), skipped->end(), key) !=
-        skipped->end()) {
+    if (std::find(skipped.begin(), skipped.end(), key) != skipped.end()) {
       continue;
     }
     started.push_back(log_.open(client_pid, key, is_put, v, t0));
@@ -87,7 +86,7 @@ std::optional<std::vector<store_result>> tcp_store::run_ops(
       fresh.push_back(std::move(results[k]));
     }
   }
-  if (!wait_ok || !skipped->empty() || fresh.size() < started.size()) {
+  if (!wait_ok || !skipped.empty() || fresh.size() < started.size()) {
     return std::nullopt;
   }
   return fresh;

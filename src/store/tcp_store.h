@@ -11,8 +11,8 @@
 // Threading contract: at most one blocking operation at a time per client
 // index (same rule as node::blocking_read); different client indices may
 // be driven from different threads concurrently. multi_get pipelines all
-// its keys in one reactor step, so requests and replies travel as batch
-// frames.
+// its keys in one invocation step, so requests and replies travel as
+// batch frames.
 //
 // For sustained throughput, open_session() (the unified async front-end
 // of store/async_client.h) replaces the one-blocking-op-at-a-time loop

@@ -8,7 +8,12 @@
 // hub+server run whose data races -- if any -- are TSan's to find.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+
 #include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +44,79 @@ store_config frontend_cfg(std::uint32_t S, std::uint32_t t,
 }
 
 std::string script_key(int n) { return "k" + std::to_string(n % 4); }
+
+/// Holds a node's home reactor inside a posted control task (run on
+/// `actor`'s behalf, so only that actor's step mutex is held) until the
+/// latch is released or destroyed.
+class reactor_latch {
+ public:
+  reactor_latch(net::node& n, std::size_t actor)
+      : th_([this, &n, actor] {
+          n.run_on_reactor(actor, [this](automaton&) {
+            std::unique_lock<std::mutex> lk(mu_);
+            entered_ = true;
+            cv_.notify_all();
+            cv_.wait(lk, [this] { return released_; });
+          });
+        }) {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [this] { return entered_; });
+  }
+  reactor_latch(const reactor_latch&) = delete;
+  reactor_latch& operator=(const reactor_latch&) = delete;
+  ~reactor_latch() {
+    release();
+    th_.join();
+  }
+
+  void release() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_{false};
+  bool released_{false};
+  std::thread th_;
+};
+
+/// Sum of a counter's series on one node (label node="<self>"), narrowed
+/// to the series carrying `also` when given; 0 when none matches.
+double node_counter(const net::node& n, const std::string& name,
+                    const std::string& also = "") {
+  const std::string prefix = name + "{";
+  const std::string label = "node=\"" + to_string(n.self()) + "\"";
+  double v = 0;
+  for (const auto& row : obs::snapshot()) {
+    if (row.name.rfind(prefix, 0) == 0 &&
+        row.name.find(label) != std::string::npos &&
+        row.name.find(also) != std::string::npos) {
+      v += row.value;
+    }
+  }
+  return v;
+}
+
+/// Sum of every series of a counter, whatever its labels.
+double counter_total(const std::string& name) {
+  double v = 0;
+  for (const auto& row : obs::snapshot()) {
+    if (row.name == name || row.name.rfind(name + "{", 0) == 0) v += row.value;
+  }
+  return v;
+}
+
+net::cluster_options one_reactor_hub() {
+  net::cluster_options copt;
+  copt.client_hub = true;
+  copt.hub_reactors = 1;
+  return copt;
+}
 
 /// The shared scripted driver: one writer and two readers interleave 30
 /// blocking ops each through pipelined sessions (depth 3), then drain.
@@ -257,6 +335,131 @@ TEST(StoreFrontend, MultiReactorHubAndServersConcurrentSessions) {
   writer.join();
   for (auto& th : readers) th.join();
 
+  const auto hist = ts.gather();
+  EXPECT_TRUE(hist.all_complete());
+  const auto res = hist.verify();
+  EXPECT_TRUE(res.ok) << res.error;
+  ts.stop();
+}
+
+TEST(StoreFrontend, TcpSubmitDoesNotWaitForTheReactor) {
+  // The hub's only reactor is held inside a posted task. A submit runs
+  // its invocation step on the session's thread, so try_get is admitted
+  // while the reactor is busy; its requests leave (and the op completes)
+  // only once the reactor is released.
+  const auto cfg = frontend_cfg(3, 1, 2);
+  tcp_store ts(cfg, net::node_options{}, one_reactor_hub());
+  ts.start();
+  ASSERT_TRUE(ts.put(0, "k0", "seed"));
+  ASSERT_TRUE(ts.get(0, "k0").has_value());
+  auto& hub = ts.cluster().client_node(reader_id(0));
+  auto se = ts.open_session(reader_id(0), /*depth=*/2);
+  std::future<submit_status> st;
+  {
+    reactor_latch busy(hub, ts.cluster().client_actor(reader_id(1)));
+    st = std::async(std::launch::async, [&] { return se->try_get("k0"); });
+    ASSERT_EQ(st.wait_for(5s), std::future_status::ready)
+        << "try_get waited for the busy reactor";
+    EXPECT_EQ(st.get(), submit_status::submitted);
+    se->pump();
+    EXPECT_TRUE(se->take_results().empty());
+    EXPECT_EQ(se->in_flight(), 1u);
+  }
+  ASSERT_TRUE(se->drain(10s));
+  EXPECT_EQ(se->take_results().size(), 1u);
+  const auto res = ts.gather().verify();
+  EXPECT_TRUE(res.ok) << res.error;
+  ts.stop();
+}
+
+TEST(StoreFrontend, AdaptiveFlushSendsOneStepBurstInOneWritev) {
+  // Eight puts submitted while the hub's reactor is held all land in its
+  // next step: eight frames per server connection. Adaptive mode flushes
+  // that burst at step end -- one writev per connection -- instead of
+  // opening a window that would idle a closed loop.
+  const auto cfg = frontend_cfg(3, 1, 1);
+  net::node_options nopt;
+  nopt.adaptive = true;
+  tcp_store ts(cfg, nopt, one_reactor_hub());
+  ts.start();
+  for (int k = 0; k < 8; ++k) {
+    ASSERT_TRUE(ts.put(0, "k" + std::to_string(k), "seed"));
+  }
+  auto& hub = ts.cluster().client_node(writer_id(0));
+  auto w = ts.open_session(writer_id(0), /*depth=*/8);
+  const double writev0 = node_counter(hub, "fastreg_net_writev_calls_total");
+  const double frames0 = node_counter(hub, "fastreg_net_frames_out_total");
+  const double widen0 = counter_total("fastreg_net_window_widen_total");
+  const std::string step_end = "reason=\"step_end\"";
+  const double step0 =
+      node_counter(hub, "fastreg_net_flushes_total", step_end);
+  std::future<bool> burst;
+  {
+    reactor_latch busy(hub, ts.cluster().client_actor(reader_id(0)));
+    burst = std::async(std::launch::async, [&] {
+      for (int k = 0; k < 8; ++k) {
+        if (w->try_put("k" + std::to_string(k), "burst") !=
+            submit_status::submitted) {
+          return false;
+        }
+      }
+      return true;
+    });
+    ASSERT_EQ(burst.wait_for(5s), std::future_status::ready)
+        << "submits waited for the busy reactor";
+    ASSERT_TRUE(burst.get());
+  }
+  ASSERT_TRUE(w->drain(10s));
+  EXPECT_EQ(w->take_results().size(), 8u);
+  // abd puts take one round: the burst is all the hub wrote.
+  EXPECT_EQ(node_counter(hub, "fastreg_net_frames_out_total") - frames0,
+            3 * 8);
+  EXPECT_EQ(node_counter(hub, "fastreg_net_writev_calls_total") - writev0,
+            3);
+  EXPECT_EQ(node_counter(hub, "fastreg_net_flushes_total", step_end) - step0,
+            3);
+  // No controller path may open a window on the burst.
+  EXPECT_EQ(counter_total("fastreg_net_window_widen_total"), widen0);
+  const auto res = ts.gather().verify();
+  EXPECT_TRUE(res.ok) << res.error;
+  ts.stop();
+}
+
+TEST(StoreFrontend, PeerResetMidPipelineClosesConnectionWithoutSigpipe) {
+  // Server 0 closes its connections while the hub's reactor is held, so
+  // the hub's end sits in CLOSE_WAIT with the FIN unread. The held
+  // submits' sends then run back to back on the reactor: the first
+  // provokes the peer's RST, the next writes to a reset connection. With
+  // SIGPIPE at its default disposition that write must not kill the
+  // process: the connection closes and the ops complete from the
+  // surviving quorum.
+  ASSERT_NE(::signal(SIGPIPE, SIG_DFL), SIG_ERR);
+  const auto cfg = frontend_cfg(3, 1, 1);
+  tcp_store ts(cfg, net::node_options{}, one_reactor_hub());
+  ts.start();
+  for (int k = 0; k < 4; ++k) {
+    ASSERT_TRUE(ts.put(0, script_key(k), "seed"));
+  }
+  auto& hub = ts.cluster().client_node(writer_id(0));
+  auto w = ts.open_session(writer_id(0), /*depth=*/4);
+  const double resets0 = node_counter(hub, "fastreg_net_conn_resets_total");
+  {
+    reactor_latch busy(hub, ts.cluster().client_actor(reader_id(0)));
+    ts.cluster().server(0).reset_all_conns();
+    std::this_thread::sleep_for(50ms);  // let the FIN reach the hub
+    for (int k = 0; k < 4; ++k) {
+      ASSERT_EQ(w->try_put(script_key(k), "mid" + std::to_string(k)),
+                submit_status::submitted);
+    }
+  }
+  ASSERT_TRUE(w->drain(10s));
+  EXPECT_EQ(w->take_results().size(), 4u);
+  EXPECT_GE(node_counter(hub, "fastreg_net_conn_resets_total") - resets0, 1);
+  // Later sends reconnect to server 0.
+  for (int n = 0; n < 8; ++n) {
+    ASSERT_TRUE(w->put(script_key(n), "post" + std::to_string(n)));
+  }
+  ASSERT_TRUE(w->drain(10s));
   const auto hist = ts.gather();
   EXPECT_TRUE(hist.all_complete());
   const auto res = hist.verify();
