@@ -505,7 +505,7 @@ void run_fanin_part(bool smoke) {
 
 /// One blocking-op measurement pass over a warm store; returns get p50
 /// in microseconds. Identical work whether tracing is on or off -- the
-/// caller toggles the tracer around calls to isolate its cost.
+/// caller toggles the completion tap around calls to isolate its cost.
 double obs_check_pass(store::tcp_store& ts, std::uint32_t R,
                       std::uint32_t keys, int rounds) {
   std::vector<std::vector<double>> lat_us(R);
@@ -541,7 +541,7 @@ double obs_check_pass(store::tcp_store& ts, std::uint32_t R,
 
 /// CI gate: (a) the stats_req scrape over a raw socket yields a dump
 /// that parses under the exposition grammar, and (b) window-0 blocking
-/// get p50 with the phase tracer ON -- and, separately, with the flight
+/// get p50 with the completion tap ON -- and, separately, with the flight
 /// recorder ON -- stays within 5% of both off in the SAME run. Rotating
 /// passes, best-of-3 per mode: the min is what the machine can do, so a
 /// spurious scheduler spike in one pass cannot fake (or mask) a

@@ -12,7 +12,6 @@
 
 #include "benchutil/stats.h"
 #include "checker/history.h"
-#include "obs/trace.h"
 #include "registers/automaton.h"
 #include "store/sim_store.h"
 
@@ -38,10 +37,9 @@ struct latency_report {
   stats write_latency;
   stats read_rounds;
   stats write_rounds;
-  /// Rounds MEASURED by the obs tracer's protocol hooks (issue/ack
-  /// boundaries), independent of the rounds the automata self-report in
-  /// completions. The two agreeing is the cross-check E1/E5 print.
-  obs::rounds_summary traced;
+  /// Messages sent per completed op. For isolated ops with every server
+  /// up this is exactly 2*S times the mean rounds per op (each round is
+  /// S requests and S replies): the cross-check E1 prints.
   double msgs_per_op{0};
   bool all_complete{true};
   checker::history hist;

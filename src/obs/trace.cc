@@ -1,9 +1,6 @@
 #include "obs/trace.h"
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 #include <mutex>
 #include <utility>
 
@@ -12,11 +9,7 @@
 namespace fastreg::obs {
 
 namespace detail {
-std::atomic<bool> tracing_on{[] {
-  const char* v = std::getenv("FASTREG_OBS");
-  return v != nullptr && (std::strcmp(v, "trace") == 0 ||
-                          std::strcmp(v, "1") == 0);
-}()};
+std::atomic<bool> tracing_on{false};
 }  // namespace detail
 
 bool tracing_enabled() { return trace_active(); }
@@ -24,11 +17,10 @@ void set_tracing(bool on) {
   detail::tracing_on.store(on, std::memory_order_relaxed);
 }
 
-// ------------------------------------------------------ per-thread context --
+// ------------------------------------------------------------ trace clock --
 
 namespace {
 
-thread_local object_id t_obj = k_default_object;
 thread_local std::uint64_t t_time = 0;
 thread_local bool t_time_set = false;
 
@@ -40,13 +32,6 @@ std::uint64_t steady_ns() {
 }
 
 }  // namespace
-
-scoped_trace_object::scoped_trace_object(object_id obj) : prev_(t_obj) {
-  t_obj = obj;
-}
-scoped_trace_object::~scoped_trace_object() { t_obj = prev_; }
-
-object_id trace_object() { return t_obj; }
 
 scoped_trace_time::scoped_trace_time(std::uint64_t t)
     : prev_(t_time), had_prev_(t_time_set) {
@@ -62,7 +47,7 @@ std::uint64_t trace_now() { return t_time_set ? t_time : steady_ns(); }
 
 bool trace_time_overridden() { return t_time_set; }
 
-// ------------------------------------------------------------------ store --
+// ---------------------------------------------------------- completion tap --
 
 namespace {
 
@@ -72,7 +57,6 @@ constexpr std::size_t k_max_completed = 1u << 20;
 
 struct trace_store {
   std::mutex mu;
-  std::map<std::pair<process_id, object_id>, op_trace> open;
   std::vector<op_trace> completed;
 };
 
@@ -87,70 +71,18 @@ counter& drops_counter() {
   return c;
 }
 
-counter& restarts_counter() {
-  static counter& c = registry::instance().get_counter(
-      "fastreg_obs_op_restarts_total");
-  return c;
-}
-
 }  // namespace
 
-void preheat_trace_metrics() {
-  (void)drops_counter();
-  (void)restarts_counter();
-}
+void preheat_trace_metrics() { (void)drops_counter(); }
 
-void op_begin(const process_id& self, bool is_write) {
-  if (!trace_active()) return;
+void trace_completion(const op_trace& t) {
   auto& s = store();
   std::lock_guard<std::mutex> lk(s.mu);
-  auto& t = s.open[{self, trace_object()}];
-  if (t.begin_t != 0 || !t.spans.empty()) restarts_counter().inc();
-  t = op_trace{};
-  t.self = self;
-  t.obj = trace_object();
-  t.is_write = is_write;
-  t.begin_t = trace_now();
-}
-
-void round_issue(const process_id& self, int round) {
-  if (!trace_active()) return;
-  auto& s = store();
-  std::lock_guard<std::mutex> lk(s.mu);
-  const auto it = s.open.find({self, trace_object()});
-  if (it == s.open.end()) return;
-  it->second.spans.push_back({round, trace_now(), 0});
-}
-
-void round_ack(const process_id& self, int round) {
-  if (!trace_active()) return;
-  auto& s = store();
-  std::lock_guard<std::mutex> lk(s.mu);
-  const auto it = s.open.find({self, trace_object()});
-  if (it == s.open.end()) return;
-  for (auto& span : it->second.spans) {
-    if (span.round == round && span.ack_t == 0) {
-      span.ack_t = trace_now();
-      break;
-    }
-  }
-}
-
-void op_end(const process_id& self, int rounds) {
-  if (!trace_active()) return;
-  auto& s = store();
-  std::lock_guard<std::mutex> lk(s.mu);
-  const auto it = s.open.find({self, trace_object()});
-  if (it == s.open.end()) return;
-  op_trace t = std::move(it->second);
-  s.open.erase(it);
-  t.end_t = trace_now();
-  t.rounds = rounds;
   if (s.completed.size() >= k_max_completed) {
     drops_counter().inc();
     return;
   }
-  s.completed.push_back(std::move(t));
+  s.completed.push_back(t);
 }
 
 std::vector<op_trace> take_traces() {
@@ -162,32 +94,7 @@ std::vector<op_trace> take_traces() {
 void reset_traces() {
   auto& s = store();
   std::lock_guard<std::mutex> lk(s.mu);
-  s.open.clear();
   s.completed.clear();
-}
-
-rounds_summary summarize_rounds(const std::vector<op_trace>& traces) {
-  rounds_summary out;
-  std::uint64_t rr = 0;
-  std::uint64_t wr = 0;
-  for (const auto& t : traces) {
-    if (t.is_write) {
-      ++out.writes;
-      wr += static_cast<std::uint64_t>(t.rounds);
-    } else {
-      ++out.reads;
-      rr += static_cast<std::uint64_t>(t.rounds);
-    }
-  }
-  if (out.reads > 0) {
-    out.read_rounds =
-        static_cast<double>(rr) / static_cast<double>(out.reads);
-  }
-  if (out.writes > 0) {
-    out.write_rounds =
-        static_cast<double>(wr) / static_cast<double>(out.writes);
-  }
-  return out;
 }
 
 }  // namespace fastreg::obs

@@ -1,40 +1,36 @@
-// Per-operation phase tracer: records, for every register operation,
-// the spans the paper's cost model cares about — when each round's
-// requests were issued, when its quorum of acks arrived, and how many
-// rounds the op took end to end.
+// Per-operation completion tap and the trace clock.
 //
-// The hooks are called from the client-role register automata
-// (src/registers/*.cc) at the protocol-defined phase boundaries, so a
-// trace's round count is the protocol's REAL executed round count, not
-// the theoretical one a bench table assumes. E1/E5/E11 print their
-// measured rounds-per-op columns from these traces.
+// Completion tap: while tracing is on, the store client
+// (store::client::poll_object, the one point where a store op completes
+// on both transports) appends one op_trace {object, is_write, rounds}
+// per completed op. The rounds are the ones the client automaton
+// reports in its completion -- the same number the op's history record
+// carries -- so the tap is a cheap per-protocol rounds feed for runs
+// that do not gather histories (perfbench splits it by shard protocol).
+// A parked and re-issued op completes once and is recorded once.
+// Raw-register deployments (sim::world, net::cluster) have no tap; their
+// rounds are op_record::rounds in the history. Round boundaries (issue,
+// ack) are not recorded here: the flight recorder (obs/recorder.h)
+// stamps every send and recv with its trace id, span and message type.
 //
-// Keying: an op is identified by (automaton self id, current object).
-// Inner per-object automata do not know their object id, so the store
-// front-end publishes it in a thread-local context (set_trace_object)
-// immediately before stepping an inner automaton; plain single-register
-// deployments leave it at k_default_object.
-//
-// Clock domain: trace timestamps come from trace_now(), which the
-// simulator overrides with its tick counter around every automaton step
-// (set_trace_time) and which otherwise reads the steady clock in
-// nanoseconds — the same clock net::node stamps its histories with. A
-// trace therefore always agrees with the linearizability history the
-// same run produced.
+// Clock domain: trace_now() returns the simulator's tick counter while
+// a scoped_trace_time override is active on the thread (sim::world sets
+// it around every automaton step) and steady-clock nanoseconds
+// otherwise -- the same clock net::node stamps its histories with. Serve
+// and reconfiguration timers and the flight recorder read it.
 //
 // Cross-node merge guarantee (src/obs/timeline.h): two timestamps are
 // comparable iff they come from the SAME domain. The sim domain is the
-// scheduler's global tick counter — totally ordered across every
+// scheduler's global tick counter -- totally ordered across every
 // simulated node by construction. The ns domain is one process's
-// steady_clock — and because every net::node reactor in a deployment
+// steady_clock -- and because every net::node reactor in a deployment
 // runs in the same process, all TCP nodes share that single clock.
 // Timestamps are never compared across the sim/ns boundary; the
 // recorder tags each event with its domain (trace_time_overridden()) so
 // the merge pass can keep them apart.
 //
-// Cost when disabled (the default): every hook is one relaxed atomic
-// load and a branch. Enable via set_tracing(true) or FASTREG_OBS=trace
-// (or =1) in the environment.
+// Cost when disabled (the default): one relaxed atomic load and a
+// branch per completed store op. Enable via set_tracing(true).
 #pragma once
 
 #include <atomic>
@@ -51,27 +47,14 @@ namespace detail {
 extern std::atomic<bool> tracing_on;
 }
 
-/// True when per-op tracing is recording. Initialized once from
-/// FASTREG_OBS ("trace" or "1" enables).
+/// True while the completion tap is recording.
+inline bool trace_active() {
+  return detail::tracing_on.load(std::memory_order_relaxed);
+}
 [[nodiscard]] bool tracing_enabled();
 void set_tracing(bool on);
 
-// ------------------------------------------------------ per-thread context --
-
-/// Publishes the object the current thread is about to step an inner
-/// automaton for. Restores the previous object on destruction.
-class scoped_trace_object {
- public:
-  explicit scoped_trace_object(object_id obj);
-  ~scoped_trace_object();
-  scoped_trace_object(const scoped_trace_object&) = delete;
-  scoped_trace_object& operator=(const scoped_trace_object&) = delete;
-
- private:
-  object_id prev_;
-};
-
-[[nodiscard]] object_id trace_object();
+// ------------------------------------------------------------ trace clock --
 
 /// Overrides trace_now() for the current thread (the simulator sets its
 /// tick counter around automaton steps). Restores on destruction.
@@ -96,59 +79,28 @@ class scoped_trace_time {
 /// pass never orders a sim tick against a wall-clock nanosecond.
 [[nodiscard]] bool trace_time_overridden();
 
-// ------------------------------------------------------------------ hooks --
+// ---------------------------------------------------------- completion tap --
 
-/// Called by client-role automata. All are no-ops (one relaxed load)
-/// while tracing is disabled. An op_begin for a key with an open trace
-/// replaces it and counts a restart (re-issue after an epoch nack).
-inline bool trace_active() {
-  return detail::tracing_on.load(std::memory_order_relaxed);
-}
-
-void op_begin(const process_id& self, bool is_write);
-void round_issue(const process_id& self, int round);
-void round_ack(const process_id& self, int round);
-void op_end(const process_id& self, int rounds);
-
-// ----------------------------------------------------------------- output --
-
-struct round_span {
-  int round{0};
-  std::uint64_t issue_t{0};
-  std::uint64_t ack_t{0};
-};
-
-/// One completed operation's trace.
+/// One completed store operation.
 struct op_trace {
-  process_id self{};
   object_id obj{k_default_object};
   bool is_write{false};
-  std::uint64_t begin_t{0};
-  std::uint64_t end_t{0};
   int rounds{0};
-  std::vector<round_span> spans{};
 };
 
-/// Forces creation of the tracer's lazily-registered counters (drops,
-/// restarts) so threads under the registry's hot-loop creation check
-/// (reactor threads) never hit the creation path.
+/// Appends `t` to the completed traces. Callers check trace_active()
+/// first; reactor and caller threads may append concurrently.
+void trace_completion(const op_trace& t);
+
+/// Forces creation of the tap's lazily-registered drops counter so
+/// threads under the registry's hot-loop creation check (reactor
+/// threads) never hit the creation path.
 void preheat_trace_metrics();
 
 /// Drains completed traces (oldest first). Retention is capped; drops
 /// are visible as the fastreg_obs_trace_drops_total counter.
 [[nodiscard]] std::vector<op_trace> take_traces();
-/// Discards completed and in-flight trace state.
+/// Discards completed traces.
 void reset_traces();
-
-/// Mean executed rounds over `traces`, reads and writes separately;
-/// negative when no op of that kind completed.
-struct rounds_summary {
-  double read_rounds{-1};
-  double write_rounds{-1};
-  std::uint64_t reads{0};
-  std::uint64_t writes{0};
-};
-[[nodiscard]] rounds_summary summarize_rounds(
-    const std::vector<op_trace>& traces);
 
 }  // namespace fastreg::obs

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "obs/trace.h"
 
 namespace fastreg {
 
@@ -73,8 +72,6 @@ abd_writer::abd_writer(system_config cfg) : cfg_(std::move(cfg)) {}
 void abd_writer::invoke_write(netout& net, value_t v) {
   FASTREG_EXPECTS(!pending_);
   pending_ = true;
-  obs::op_begin(self(), /*is_write=*/true);
-  obs::round_issue(self(), 1);
   ts_ += 1;  // single writer: the local counter is the latest timestamp
   rcounter_ += 1;
   acks_.clear();
@@ -96,8 +93,6 @@ void abd_writer::on_message(netout&, const process_id& from,
   if (acks_.size() >= cfg_.quorum()) {
     pending_ = false;
     completed_ += 1;
-    obs::round_ack(self(), 1);
-    obs::op_end(self(), 1);
   }
 }
 
@@ -120,8 +115,6 @@ abd_reader::abd_reader(system_config cfg, std::uint32_t index)
 void abd_reader::invoke_read(netout& net) {
   FASTREG_EXPECTS(phase_ == phase::idle);
   phase_ = phase::query;
-  obs::op_begin(self(), /*is_write=*/false);
-  obs::round_issue(self(), 1);
   rcounter_ += 1;
   best_ts_ = {};
   best_val_.clear();
@@ -148,8 +141,6 @@ void abd_reader::on_message(netout& net, const process_id& from,
       // Round-trip 2: propagate the chosen pair before returning, so that
       // a subsequent read cannot observe an older value.
       phase_ = phase::write_back;
-      obs::round_ack(self(), 1);
-      obs::round_issue(self(), 2);
       rcounter_ += 1;
       acks_.clear();
       message wb;
@@ -171,8 +162,6 @@ void abd_reader::on_message(netout& net, const process_id& from,
       phase_ = phase::idle;
       completed_ += 1;
       last_result_ = read_result{best_ts_.num, best_ts_.wid, best_val_, 2};
-      obs::round_ack(self(), 2);
-      obs::op_end(self(), 2);
     }
   }
 }

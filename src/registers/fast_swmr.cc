@@ -1,7 +1,6 @@
 #include "registers/fast_swmr.h"
 
 #include "common/check.h"
-#include "obs/trace.h"
 
 namespace fastreg {
 
@@ -12,8 +11,6 @@ fast_swmr_writer::fast_swmr_writer(system_config cfg) : cfg_(std::move(cfg)) {}
 void fast_swmr_writer::invoke_write(netout& net, value_t v) {
   FASTREG_EXPECTS(!pending_);
   pending_ = true;
-  obs::op_begin(self(), /*is_write=*/true);
-  obs::round_issue(self(), 1);
   cur_val_ = std::move(v);
   acks_.clear();
   message m;
@@ -37,8 +34,6 @@ void fast_swmr_writer::on_message(netout&, const process_id& from,
     last_val_ = cur_val_;
     ts_ += 1;  // line 7
     completed_ += 1;
-    obs::round_ack(self(), 1);
-    obs::op_end(self(), 1);
   }
 }
 
@@ -64,8 +59,6 @@ fast_swmr_reader::fast_swmr_reader(system_config cfg, std::uint32_t index)
 void fast_swmr_reader::invoke_read(netout& net) {
   FASTREG_EXPECTS(!pending_);
   pending_ = true;
-  obs::op_begin(self(), /*is_write=*/false);
-  obs::round_issue(self(), 1);
   rcounter_ += 1;  // line 13
   acks_.clear();
   ack_from_.clear();
@@ -126,8 +119,6 @@ void fast_swmr_reader::decide() {
   pending_ = false;
   completed_ += 1;
   last_result_ = std::move(res);
-  obs::round_ack(self(), 1);
-  obs::op_end(self(), 1);
 }
 
 std::unique_ptr<automaton> fast_swmr_reader::clone() const {

@@ -1,7 +1,6 @@
 #include "registers/maxmin.h"
 
 #include "common/check.h"
-#include "obs/trace.h"
 
 namespace fastreg {
 
@@ -98,8 +97,6 @@ maxmin_reader::maxmin_reader(system_config cfg, std::uint32_t index)
 void maxmin_reader::invoke_read(netout& net) {
   FASTREG_EXPECTS(!pending_);
   pending_ = true;
-  obs::op_begin(self(), /*is_write=*/false);
-  obs::round_issue(self(), 1);
   rcounter_ += 1;
   have_min_ = false;
   min_ts_ = {};
@@ -129,8 +126,6 @@ void maxmin_reader::on_message(netout&, const process_id& from,
     pending_ = false;
     completed_ += 1;
     last_result_ = read_result{min_ts_.num, min_ts_.wid, min_val_, 1};
-    obs::round_ack(self(), 1);
-    obs::op_end(self(), 1);
   }
 }
 

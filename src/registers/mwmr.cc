@@ -1,7 +1,6 @@
 #include "registers/mwmr.h"
 
 #include "common/check.h"
-#include "obs/trace.h"
 #include "registers/regular.h"
 
 namespace fastreg {
@@ -14,8 +13,6 @@ mwmr_writer::mwmr_writer(system_config cfg, std::uint32_t index)
 void mwmr_writer::invoke_write(netout& net, value_t v) {
   FASTREG_EXPECTS(phase_ == phase::idle);
   phase_ = phase::query;
-  obs::op_begin(self(), /*is_write=*/true);
-  obs::round_issue(self(), 1);
   pending_val_ = std::move(v);
   rcounter_ += 1;
   max_num_ = 0;
@@ -37,8 +34,6 @@ void mwmr_writer::on_message(netout& net, const process_id& from,
     max_num_ = std::max(max_num_, m.ts);
     if (acks_.size() >= cfg_.quorum()) {
       phase_ = phase::write;
-      obs::round_ack(self(), 1);
-      obs::round_issue(self(), 2);
       rcounter_ += 1;
       acks_.clear();
       message w;
@@ -61,8 +56,6 @@ void mwmr_writer::on_message(netout& net, const process_id& from,
     if (acks_.size() >= cfg_.quorum()) {
       phase_ = phase::idle;
       completed_ += 1;
-      obs::round_ack(self(), 2);
-      obs::op_end(self(), 2);
     }
   }
 }
@@ -79,8 +72,6 @@ mwmr_reader::mwmr_reader(system_config cfg, std::uint32_t index)
 void mwmr_reader::invoke_read(netout& net) {
   FASTREG_EXPECTS(phase_ == phase::idle);
   phase_ = phase::query;
-  obs::op_begin(self(), /*is_write=*/false);
-  obs::round_issue(self(), 1);
   rcounter_ += 1;
   best_ts_ = {};
   best_val_.clear();
@@ -105,8 +96,6 @@ void mwmr_reader::on_message(netout& net, const process_id& from,
     }
     if (acks_.size() >= cfg_.quorum()) {
       phase_ = phase::write_back;
-      obs::round_ack(self(), 1);
-      obs::round_issue(self(), 2);
       rcounter_ += 1;
       acks_.clear();
       message wb;
@@ -128,8 +117,6 @@ void mwmr_reader::on_message(netout& net, const process_id& from,
       phase_ = phase::idle;
       completed_ += 1;
       last_result_ = read_result{best_ts_.num, best_ts_.wid, best_val_, 2};
-      obs::round_ack(self(), 2);
-      obs::op_end(self(), 2);
     }
   }
 }
@@ -146,8 +133,6 @@ naive_mwmr_writer::naive_mwmr_writer(system_config cfg, std::uint32_t index)
 void naive_mwmr_writer::invoke_write(netout& net, value_t v) {
   FASTREG_EXPECTS(!pending_);
   pending_ = true;
-  obs::op_begin(self(), /*is_write=*/true);
-  obs::round_issue(self(), 1);
   ts_ += 1;  // local counter only: this is what makes the protocol unsound
   rcounter_ += 1;
   acks_.clear();
@@ -170,8 +155,6 @@ void naive_mwmr_writer::on_message(netout&, const process_id& from,
   if (acks_.size() >= cfg_.quorum()) {
     pending_ = false;
     completed_ += 1;
-    obs::round_ack(self(), 1);
-    obs::op_end(self(), 1);
   }
 }
 

@@ -1,7 +1,6 @@
 #include "registers/regular.h"
 
 #include "common/check.h"
-#include "obs/trace.h"
 
 namespace fastreg {
 
@@ -13,8 +12,6 @@ regular_reader::regular_reader(system_config cfg, std::uint32_t index)
 void regular_reader::invoke_read(netout& net) {
   FASTREG_EXPECTS(!pending_);
   pending_ = true;
-  obs::op_begin(self(), /*is_write=*/false);
-  obs::round_issue(self(), 1);
   rcounter_ += 1;
   best_ts_ = {};
   best_val_.clear();
@@ -40,8 +37,6 @@ void regular_reader::on_message(netout&, const process_id& from,
     pending_ = false;
     completed_ += 1;
     last_result_ = read_result{best_ts_.num, best_ts_.wid, best_val_, 1};
-    obs::round_ack(self(), 1);
-    obs::op_end(self(), 1);
   }
 }
 
@@ -58,8 +53,6 @@ single_reader_fast_reader::single_reader_fast_reader(system_config cfg,
 void single_reader_fast_reader::invoke_read(netout& net) {
   FASTREG_EXPECTS(!pending_);
   pending_ = true;
-  obs::op_begin(self(), /*is_write=*/false);
-  obs::round_issue(self(), 1);
   rcounter_ += 1;
   best_ts_ = {};
   best_val_.clear();
@@ -92,8 +85,6 @@ void single_reader_fast_reader::on_message(netout&, const process_id& from,
     pending_ = false;
     completed_ += 1;
     last_result_ = read_result{last_ts_.num, last_ts_.wid, last_val_, 1};
-    obs::round_ack(self(), 1);
-    obs::op_end(self(), 1);
   }
 }
 

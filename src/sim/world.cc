@@ -152,9 +152,9 @@ void world::invoke_write(std::uint32_t writer_index, value_t v) {
   st.pending = true;
   st.completed_before = w->writes_completed();
   st.op_index = history_.begin_op(wid, /*is_write=*/true, now_, v);
-  // The tracer (obs) stamps this step with the simulated clock, so sim
-  // traces agree with the history this run records; log lines carry the
-  // stepped automaton's id. A fresh trace id covers every message this
+  // The trace clock (obs) reads the simulated clock in this step, so
+  // recorder events agree with the history this run records; log lines
+  // carry the stepped automaton's id. A fresh trace id covers every message this
   // register op causes (the automata themselves are trace-oblivious).
   obs::scoped_trace_time trace_time(now_);
   obs::scoped_trace_ctx trace_ctx(obs::next_trace_id(), 0);

@@ -66,9 +66,6 @@ automaton& client::inner_for(object_id obj) {
 void client::invoke_on(object_id obj, pending_op& op) {
   auto& inner = inner_for(obj);
   op.epoch = epoch();
-  // The inner automaton does not know its object id; publish it so the
-  // tracer keys this invocation's op under (self, obj).
-  obs::scoped_trace_object trace_obj(obj);
   tagging_netout tagged(outbox_, obj, epoch(), op.attempt, false, op.trace,
                         op.span);
   if (op.is_put) {
@@ -366,7 +363,6 @@ void client::route(const process_id& from, const message& m) {
   // EARLIER ops cannot alias either -- disambiguates (mirroring the
   // check handle_nack performs).
   if (m.attempt != attempt) return;
-  obs::scoped_trace_object trace_obj(m.obj);
   // Follow-up rounds the reply triggers stay on the op's trace; the
   // pending record is authoritative, the reply's stamp the fallback.
   std::uint64_t trace = m.trace;
@@ -449,6 +445,12 @@ void client::poll_object(object_id obj) {
     res.wid = rr->wid;
     res.val = rr->val;
     res.rounds = rr->rounds;
+  }
+  // The completion tap: one record per completed op, whichever transport
+  // stepped it; a parked op is re-issued under the same pending entry
+  // and so completes, and is recorded, once.
+  if (obs::trace_active()) {
+    obs::trace_completion({obj, op.is_put, res.rounds});
   }
   completions_.push_back(std::move(res));
   ++completed_;

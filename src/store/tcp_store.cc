@@ -1,6 +1,7 @@
 #include "store/tcp_store.h"
 
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -147,19 +148,34 @@ std::string tcp_store::scrape(std::uint32_t server_index,
     return static_cast<int>(std::max<std::int64_t>(0, left.count()));
   };
 
+  // A signal to this thread interrupts poll/read/send with EINTR: that
+  // is not a failure, so every wait retries with the time left, until
+  // the deadline.
+  const auto wait_for = [&](short events) {
+    for (;;) {
+      pollfd p{fd.get(), events, 0};
+      const int pr = ::poll(&p, 1, remaining_ms());
+      if (pr > 0) return true;
+      if (pr == 0 || errno != EINTR) return false;
+    }
+  };
+
   // Non-blocking connect: wait for writability, then push the request.
+  // MSG_NOSIGNAL, as in node::flush: a reset peer is an error return,
+  // not a SIGPIPE.
   std::size_t off = 0;
   while (off < bytes.size()) {
-    pollfd p{fd.get(), POLLOUT, 0};
-    const int pr = ::poll(&p, 1, remaining_ms());
-    if (pr <= 0) return {};
-    const ssize_t n =
-        ::write(fd.get(), bytes.data() + off, bytes.size() - off);
+    if (!wait_for(POLLOUT)) return {};
+    const ssize_t n = ::send(fd.get(), bytes.data() + off,
+                             bytes.size() - off, MSG_NOSIGNAL);
     if (n > 0) {
       off += static_cast<std::size_t>(n);
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) continue;
+    if (n < 0 &&
+        (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+      continue;
+    }
     return {};
   }
 
@@ -167,14 +183,12 @@ std::string tcp_store::scrape(std::uint32_t server_index,
   std::string dump;
   bool got = false;
   while (!got) {
-    pollfd p{fd.get(), POLLIN, 0};
-    const int pr = ::poll(&p, 1, remaining_ms());
-    if (pr <= 0) return {};
+    if (!wait_for(POLLIN)) return {};
     std::uint8_t buf[64 * 1024];
     const ssize_t n = ::read(fd.get(), buf, sizeof buf);
     if (n == 0) return {};  // server closed without answering
     if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
       return {};
     }
     in.drain(buf, static_cast<std::size_t>(n), [&](net::frame&& f) {

@@ -1,12 +1,17 @@
 // Observability: registry concurrency, histogram accuracy, the
-// streaming bench accumulator, tracer-measured rounds-per-op, and the
-// stats_req/stats_ack scrape on both deployments. The concurrent cases
+// streaming bench accumulator, rounds-per-op and the completion tap, and
+// the stats_req/stats_ack scrape on both deployments. The concurrent cases
 // double as the TSan surface for the metrics hot path (run with
 // -DFASTREG_SANITIZE=thread).
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <csignal>
+#include <memory>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -16,7 +21,10 @@
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "reconfig/control.h"
+#include "reconfig/coordinator.h"
 #include "registers/registry.h"
+#include "store/async_client.h"
 #include "store/sim_store.h"
 #include "store/tcp_store.h"
 
@@ -165,7 +173,7 @@ TEST(StreamHist, EmptyAndReset) {
   EXPECT_EQ(s.max(), 0.0);
 }
 
-// ----------------------------------------------------- rounds from traces
+// --------------------------------------------------------- rounds per op
 
 TEST(ObsTrace, FastReadIsOneRoundAbdIsTwo) {
   const std::vector<std::tuple<const char*, double, double>> cases = {
@@ -181,14 +189,116 @@ TEST(ObsTrace, FastReadIsOneRoundAbdIsTwo) {
     opt.reads_per_reader = 10;
     const auto rep =
         benchutil::run_measured(*make_protocol(proto), cfg, opt);
-    // The tracer's issue/ack hooks, not the completion records: an
-    // automaton claiming the wrong round count in its result would not
-    // fool this.
-    EXPECT_GT(rep.traced.reads, 0u) << proto;
-    EXPECT_GT(rep.traced.writes, 0u) << proto;
-    EXPECT_DOUBLE_EQ(rep.traced.read_rounds, rd) << proto;
-    EXPECT_DOUBLE_EQ(rep.traced.write_rounds, wr) << proto;
+    ASSERT_TRUE(rep.all_complete) << proto;
+    // The rounds each automaton reported in its completions.
+    ASSERT_GT(rep.read_rounds.count(), 0u) << proto;
+    ASSERT_GT(rep.write_rounds.count(), 0u) << proto;
+    EXPECT_DOUBLE_EQ(rep.read_rounds.mean(), rd) << proto;
+    EXPECT_DOUBLE_EQ(rep.write_rounds.mean(), wr) << proto;
+    // An independent count of the same rounds: the simulator counts
+    // every message sent, and an isolated op with every server up sends
+    // S requests and gets S replies per round. An automaton claiming the
+    // wrong round count in its results would break this equality.
+    int rounds = 0;
+    for (const auto& op : rep.hist.ops()) rounds += op.rounds;
+    const double n = static_cast<double>(rep.hist.size());
+    EXPECT_DOUBLE_EQ(rep.msgs_per_op, 2.0 * cfg.servers * rounds / n)
+        << proto;
   }
+}
+
+/// Sum of every labelled row of counter `name` in an interval delta.
+double counter_delta(const std::vector<obs::sample>& rows,
+                     const std::string& name) {
+  double s = 0;
+  for (const auto& row : rows) {
+    if (row.name.rfind(name + "{", 0) == 0) s += row.value;
+  }
+  return s;
+}
+
+// The completion tap records exactly one {object, is_write, rounds} per
+// completed store op -- including ops a live reshard parked and
+// re-issued, which must not be recorded twice.
+TEST(ObsTrace, CompletionTapRecordsEachStoreOpOnce) {
+  const bool was = obs::tracing_enabled();
+  const std::vector<std::string> keys = {"a", "b", "c", "d", "e", "f"};
+  double resumes = 0;
+  for (std::uint64_t seed = 1; seed <= 10 && resumes == 0; ++seed) {
+    store::sim_store s(small_store_cfg({"fast_swmr", "abd"}, 2, 2));
+    rng r(seed);
+    store::sim_frontend fe(s, r);
+    std::vector<std::unique_ptr<store::async_session>> ses;
+    ses.push_back(fe.open_session(writer_id(0), 3));
+    ses.push_back(fe.open_session(reader_id(0), 3));
+    ses.push_back(fe.open_session(reader_id(1), 3));
+    reconfig::sim_control ctl(s);
+    reconfig::coordinator coord(ctl, keys);
+    obs::interval_scrape scrape;
+    obs::reset_traces();
+    obs::set_tracing(true);
+
+    std::uint32_t ops_left = 240;
+    std::uint64_t put_seq = 0;
+    bool started = false;
+    std::uint64_t guard = 0;
+    for (;;) {
+      ASSERT_LT(++guard, 1'000'000u);
+      if (!started && ops_left <= 160) {
+        // Mid-run: flip the protocols and change the shard count, so
+        // most objects move through the full handoff.
+        started = true;
+        ASSERT_TRUE(coord.start(s.shards(),
+                                reconfig::reconfig_plan{3, {"abd",
+                                                            "fast_swmr"}}))
+            << coord.error();
+      }
+      const bool coord_active = started && !coord.done();
+      if (coord_active) coord.step();
+      bool invoked = false;
+      for (auto& se : ses) {
+        se->pump();
+        (void)se->take_results();
+        if (ops_left == 0 || se->in_flight() >= se->depth()) continue;
+        const auto& key = keys[r.below(keys.size())];
+        const auto st = se->client_id().is_writer()
+                            ? se->try_put(key, "v" + std::to_string(++put_seq))
+                            : se->try_get(key);
+        if (st != store::submit_status::submitted) continue;
+        --ops_left;
+        se->pump();
+        invoked = true;
+      }
+      if (s.world().in_transit().empty()) {
+        if (invoked || coord_active) continue;
+        break;
+      }
+      s.run_random(r, 1);
+    }
+    obs::set_tracing(was);
+    auto traces = obs::take_traces();
+    resumes = counter_delta(scrape.take(), "fastreg_store_resumes_total");
+
+    const auto hist = fe.gather();
+    ASSERT_TRUE(hist.all_complete()) << "seed " << seed;
+    const auto res = hist.verify();
+    EXPECT_TRUE(res.ok) << "seed " << seed << ": " << res.error;
+    using rec = std::tuple<object_id, bool, int>;
+    std::vector<rec> want;
+    for (const auto& [key, h] : hist.all()) {
+      for (const auto& op : h.ops()) {
+        want.emplace_back(store::key_object_id(key), op.is_write, op.rounds);
+      }
+    }
+    std::vector<rec> got;
+    for (const auto& t : traces) got.emplace_back(t.obj, t.is_write, t.rounds);
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(want.size(), 240u) << "seed " << seed;
+    EXPECT_EQ(got, want) << "seed " << seed;
+  }
+  EXPECT_GT(resumes, 0)
+      << "no op was ever parked and resumed across 10 seeds of a reshard";
 }
 
 // ------------------------------------------------------------ text dump
@@ -256,6 +366,39 @@ TEST(ObsScrape, TcpScrapeTimesOutCleanly) {
   ts.stop();  // ports are now closed
   const auto dump = ts.scrape(0, std::chrono::milliseconds(200));
   EXPECT_TRUE(dump.empty());
+}
+
+void ignore_signal(int) {}
+
+// A signal storm aimed at the scraping thread interrupts its poll, send
+// and read calls with EINTR; every scrape must still return the dump.
+TEST(ObsScrape, TcpScrapeSurvivesSignalStorm) {
+  struct sigaction sa {};
+  sa.sa_handler = ignore_signal;
+  sigemptyset(&sa.sa_mask);
+  sa.sa_flags = 0;  // no SA_RESTART: interrupted calls fail with EINTR
+  struct sigaction old {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &sa, &old), 0);
+
+  store::tcp_store ts(small_store_cfg({"fast_swmr", "abd"}));
+  ts.start();
+  ASSERT_TRUE(ts.put(0, "alpha", "a1"));
+  std::atomic<bool> done{false};
+  int empty = 0;
+  std::thread scraper([&] {
+    for (int i = 0; i < 50; ++i) empty += ts.scrape(0).empty() ? 1 : 0;
+    done.store(true);
+  });
+  // The scraper is joined only after the storm stops, so its handle
+  // stays valid for every pthread_kill.
+  while (!done.load()) {
+    ::pthread_kill(scraper.native_handle(), SIGUSR1);
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+  }
+  scraper.join();
+  ts.stop();
+  ::sigaction(SIGUSR1, &old, nullptr);
+  EXPECT_EQ(empty, 0) << empty << " of 50 scrapes came back empty";
 }
 
 // ----------------------------------------- reactor-thread hooks (TSan)
